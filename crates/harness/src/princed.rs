@@ -46,7 +46,7 @@ use jmst_store::journal::{
 use jmst_store::{Event, Trace};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -465,7 +465,7 @@ impl ProcessPrince {
                 }
             },
         };
-        let socket = self.socket_path(index, spec);
+        let socket = self.socket_path(spec);
         let _ = std::fs::remove_file(&socket);
         let listener = match UnixListener::bind(&socket) {
             Ok(listener) => listener,
@@ -728,11 +728,16 @@ impl ProcessPrince {
         }
     }
 
-    fn socket_path(&self, index: usize, spec: &TestSpec) -> PathBuf {
+    /// The socket a test's workers dial: the spec's own path, or a name
+    /// unique to this call. Campaigns running concurrently in one process
+    /// share the pid and often the test index, so neither can key it.
+    fn socket_path(&self, spec: &TestSpec) -> PathBuf {
+        static NEXT_SOCKET: AtomicU64 = AtomicU64::new(0);
         if let Some(path) = &spec.transport.socket {
             return PathBuf::from(path);
         }
-        std::env::temp_dir().join(format!("jmst-princed-{}-{index}.sock", std::process::id()))
+        let serial = NEXT_SOCKET.fetch_add(1, Ordering::Relaxed);
+        std::env::temp_dir().join(format!("jmst-princed-{}-{serial}.sock", std::process::id()))
     }
 
     fn persist(&self, spec: &TestSpec, events: &[Event]) {
@@ -1068,6 +1073,19 @@ mod tests {
     use crate::spec::{ConsumerSpec, NodeSpec, ProducerSpec};
     use jmst_api::destination::Destination;
 
+    /// A fresh directory no other test in this process can be using.
+    fn scratch_dir(tag: &str) -> PathBuf {
+        static NEXT_DIR: AtomicU64 = AtomicU64::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "jmst-princed-{tag}-{}-{}",
+            std::process::id(),
+            NEXT_DIR.fetch_add(1, Ordering::Relaxed)
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
     fn quick_spec(name: &str) -> TestSpec {
         TestSpec::new(name)
             .with_periods(
@@ -1122,9 +1140,16 @@ mod tests {
     }
 
     #[test]
+    fn socket_paths_are_unique_per_test_run() {
+        let spec = quick_spec("same");
+        let first = ProcessPrince::new().socket_path(&spec);
+        let second = ProcessPrince::new().socket_path(&spec);
+        assert_ne!(first, second);
+    }
+
+    #[test]
     fn thread_mode_campaign_journals_and_resume_replays_identically() {
-        let dir = std::env::temp_dir().join(format!("jmst-princed-t-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = scratch_dir("t");
         let journal = dir.join("campaign.jnl");
         let specs = vec![quick_spec("alpha"), quick_spec("beta")];
         let prince = ProcessPrince::new().with_journal(&journal);
@@ -1171,8 +1196,7 @@ mod tests {
 
     #[test]
     fn interrupted_thread_campaign_resumes_from_the_unfinished_test() {
-        let dir = std::env::temp_dir().join(format!("jmst-princed-i-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = scratch_dir("i");
         let journal = dir.join("campaign.jnl");
         let specs = vec![quick_spec("first"), quick_spec("second")];
         let factory = |spec: &TestSpec| spec_factory(spec);

@@ -88,8 +88,6 @@ struct ClientTask {
     intended: Duration,
     sent: u64,
     connected: bool,
-    /// First poll arms the first arrival instead of sending.
-    started: bool,
 }
 
 impl Task for ClientTask {
@@ -98,14 +96,6 @@ impl Task for ClientTask {
         // them completed or aborted, exactly like the thread engine did.
         if cx.stopping() {
             return Poll::Ready;
-        }
-        if !self.started {
-            // Schedule the first arrival: start offset plus the first
-            // gap of the arrival process.
-            self.started = true;
-            self.intended = self.intended.saturating_add(self.spec.arrival.next_gap());
-            cx.wake_at_nanos(self.intended.as_nanos() as u64);
-            return Poll::Pending;
         }
         let now = cx.now();
         if !self.connected {
@@ -265,17 +255,21 @@ impl LoadEngine {
                 }),
             );
         }
-        for (index, spec) in clients.into_iter().enumerate() {
+        for (index, mut spec) in clients.into_iter().enumerate() {
             let worker = spec.shard.unwrap_or(index) % self.workers;
-            reactor.spawn_on(
+            // The first arrival (start offset plus the first gap) is armed
+            // here, before the run epoch, so arming a million clients
+            // pushes no intended send into the measured window.
+            let intended = spec.start_offset.saturating_add(spec.arrival.next_gap());
+            reactor.spawn_at(
                 worker,
+                intended.as_nanos() as u64,
                 Box::new(ClientTask {
-                    intended: spec.start_offset,
+                    intended,
                     spec,
                     id: index as u32,
                     sent: 0,
                     connected: false,
-                    started: false,
                 }),
             );
         }
@@ -476,5 +470,54 @@ mod tests {
             None,
         );
         assert_eq!(report.sends, 8);
+    }
+
+    #[test]
+    fn intended_send_times_replay_each_clients_arrival_stream() {
+        /// Captures `(client, seq, intended)` of every send.
+        struct Recorder(Arc<parking_lot::Mutex<Vec<(u32, u64, Duration)>>>);
+        impl Transport for Recorder {
+            fn send(
+                &mut self,
+                client: u32,
+                seq: u64,
+                intended: Duration,
+                _n: Duration,
+            ) -> SendDisposition {
+                self.0.lock().push((client, seq, intended));
+                SendDisposition::Sent
+            }
+        }
+        const LIMIT: u64 = 3;
+        let specs: Vec<ClientSpec> = (0..1_000u64)
+            .map(|i| {
+                let process = match i % 3 {
+                    0 => ArrivalProcess::steady(2_000.0),
+                    1 => ArrivalProcess::poisson(2_000.0),
+                    _ => ArrivalProcess::burst(2, Duration::from_millis(1)),
+                };
+                ClientSpec::new(process.generator(SimRng::seed_from_u64(i)))
+                    .limited(LIMIT)
+                    .starting_at(Duration::from_micros(i * 37 % 20_000))
+            })
+            .collect();
+        let mut expected: Vec<(u32, u64, Duration)> = Vec::new();
+        for (client, spec) in specs.iter().enumerate() {
+            let mut arrival = spec.arrival.clone();
+            let mut intended = spec.start_offset;
+            for seq in 0..LIMIT {
+                intended += arrival.next_gap();
+                expected.push((client as u32, seq, intended));
+            }
+        }
+        let log = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let transports: Vec<Box<dyn Transport>> = (0..3)
+            .map(|_| Box::new(Recorder(Arc::clone(&log))) as Box<dyn Transport>)
+            .collect();
+        let report = LoadEngine::new(3).run(specs, transports, None, None);
+        assert_eq!(report.completed_clients, 1_000);
+        let mut captured = std::mem::take(&mut *log.lock());
+        captured.sort_unstable();
+        assert_eq!(captured, expected);
     }
 }

@@ -9,7 +9,8 @@
 //! 1. its [`ReadyList`] — tasks woken by timers, by other tasks, or by
 //!    external threads (broker sessions firing endpoint wakers);
 //! 2. its [`TimingWheel`] — one-shot deadlines tasks armed via
-//!    [`Context::wake_after`]/[`Context::wake_at_nanos`];
+//!    [`Context::wake_after`]/[`Context::wake_at_nanos`], or that
+//!    [`Reactor::spawn_at`] armed for a task's first poll before the run;
 //! 3. an explicit [`Context::yield_now`] requeue.
 //!
 //! The loop pops *only ready* tasks; idle tasks cost nothing per pass.
@@ -54,23 +55,51 @@ pub struct RunOutcome {
 
 /// A readiness-driven scheduler: spawn tasks, then [`run`](Reactor::run).
 pub struct Reactor {
-    tasks: Vec<Vec<Box<dyn Task>>>,
-    worker_states: Vec<Option<Box<dyn Any + Send>>>,
-    tick: Duration,
-    slots: usize,
+    workers: Vec<Worker>,
     next_worker: usize,
+}
+
+/// One worker's share of a reactor, filled in by the spawn calls.
+struct Worker {
+    tasks: Vec<Option<Box<dyn Task>>>,
+    /// Tasks spawned without a deadline, in spawn order; each gets its
+    /// first poll from the ready list as the run starts.
+    unarmed: Vec<u32>,
+    /// Holds the deadlines of [`Reactor::spawn_at`] tasks until the run,
+    /// then every timer of the worker's tasks.
+    timers: TimingWheel,
+    state: Option<Box<dyn Any + Send>>,
+}
+
+impl Worker {
+    fn new(tick: Duration, slots: usize) -> Self {
+        Self {
+            tasks: Vec::new(),
+            unarmed: Vec::new(),
+            timers: TimingWheel::new(tick, slots),
+            state: None,
+        }
+    }
+
+    /// Appends `task` and returns its index on this worker.
+    fn push(&mut self, task: Box<dyn Task>) -> u32 {
+        assert!(
+            self.tasks.len() < u32::MAX as usize,
+            "too many tasks on one worker"
+        );
+        self.tasks.push(Some(task));
+        (self.tasks.len() - 1) as u32
+    }
 }
 
 impl Reactor {
     /// A reactor with `workers` worker threads (clamped to at least 1)
     /// and the default 1 ms × 4096-slot timer wheel per worker.
     pub fn new(workers: usize) -> Self {
-        let workers = workers.max(1);
         Self {
-            tasks: (0..workers).map(|_| Vec::new()).collect(),
-            worker_states: (0..workers).map(|_| None).collect(),
-            tick: Duration::from_millis(1),
-            slots: 4096,
+            workers: (0..workers.max(1))
+                .map(|_| Worker::new(Duration::from_millis(1), 4096))
+                .collect(),
             next_worker: 0,
         }
     }
@@ -79,67 +108,89 @@ impl Reactor {
     ///
     /// # Panics
     ///
-    /// Panics if `tick` is zero or `slots` is zero (wheel invariants).
+    /// Panics if `tick` is zero or `slots` is zero (wheel invariants), or
+    /// if a task was already armed with [`Reactor::spawn_at`] (its
+    /// deadline lives in the wheel being replaced).
     pub fn with_timer_resolution(mut self, tick: Duration, slots: usize) -> Self {
-        assert!(!tick.is_zero(), "tick width must be positive");
-        assert!(slots > 0, "need at least one slot");
-        self.tick = tick;
-        self.slots = slots;
+        assert!(
+            self.workers.iter().all(|worker| worker.timers.is_empty()),
+            "set the timer resolution before arming tasks"
+        );
+        for worker in &mut self.workers {
+            worker.timers = TimingWheel::new(tick, slots);
+        }
         self
     }
 
     /// Number of workers.
     pub fn workers(&self) -> usize {
-        self.tasks.len()
+        self.workers.len()
     }
 
     /// Seeds worker `worker`'s shared state slot (see
     /// [`Context::state_mut`]).
     pub fn set_worker_state(&mut self, worker: usize, state: Box<dyn Any + Send>) {
-        self.worker_states[worker] = Some(state);
+        self.workers[worker].state = Some(state);
     }
 
     /// Spawns `task` on the least-recently-used worker (round-robin).
     /// Returns the worker it was pinned to.
     pub fn spawn(&mut self, task: Box<dyn Task>) -> usize {
         let worker = self.next_worker;
-        self.next_worker = (self.next_worker + 1) % self.tasks.len();
+        self.next_worker = (self.next_worker + 1) % self.workers.len();
         self.spawn_on(worker, task);
         worker
     }
 
-    /// Spawns `task` pinned to `worker`.
+    /// Spawns `task` pinned to `worker`. Tasks spawned this way get their
+    /// first poll as the run starts, in spawn order.
     ///
     /// # Panics
     ///
     /// Panics if `worker` is out of range or the worker already holds
     /// `u32::MAX` tasks.
     pub fn spawn_on(&mut self, worker: usize, task: Box<dyn Task>) {
-        assert!(worker < self.tasks.len(), "worker index out of range");
-        assert!(
-            self.tasks[worker].len() < u32::MAX as usize,
-            "too many tasks on one worker"
-        );
-        self.tasks[worker].push(task);
+        assert!(worker < self.workers.len(), "worker index out of range");
+        let worker = &mut self.workers[worker];
+        let index = worker.push(task);
+        worker.unarmed.push(index);
+    }
+
+    /// Spawns `task` pinned to `worker` with its first poll due at
+    /// `deadline_nanos` from the run epoch, as if the task had called
+    /// [`Context::wake_at_nanos`]. The deadline goes straight into the
+    /// worker's timer wheel, so the task costs no poll before it is due
+    /// and a deadline at or before the epoch fires on the first pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `worker` is out of range or the worker already holds
+    /// `u32::MAX` tasks.
+    pub fn spawn_at(&mut self, worker: usize, deadline_nanos: u64, task: Box<dyn Task>) {
+        assert!(worker < self.workers.len(), "worker index out of range");
+        let worker = &mut self.workers[worker];
+        let index = worker.push(task);
+        worker.timers.schedule(deadline_nanos, index);
     }
 
     /// Runs every spawned task to completion, or until `stop` is set or
     /// `run_for` elapses — whichever comes first. On shutdown each live
     /// task is swept with [`Context::stopping`] `true` until it
     /// completes.
+    ///
+    /// The epoch that deadlines and `run_for` count from starts here,
+    /// after every [`Reactor::spawn_at`] deadline is already in its
+    /// worker's wheel, so no time spent arming tasks is charged to the
+    /// run.
     pub fn run(self, stop: Option<Arc<AtomicBool>>, run_for: Option<Duration>) -> RunOutcome {
         let epoch = Instant::now();
         let halt = Arc::new(AtomicBool::new(false));
-        let mut handles = Vec::with_capacity(self.tasks.len());
-        for (worker, (tasks, state)) in self.tasks.into_iter().zip(self.worker_states).enumerate() {
+        let mut handles = Vec::with_capacity(self.workers.len());
+        for (worker, tasks) in self.workers.into_iter().enumerate() {
             let stop = stop.clone();
             let halt = Arc::clone(&halt);
-            let tick = self.tick;
-            let slots = self.slots;
             handles.push(std::thread::spawn(move || {
-                worker_loop(
-                    worker, tasks, state, epoch, tick, slots, stop, run_for, halt,
-                )
+                worker_loop(worker, tasks, epoch, stop, run_for, halt)
             }));
         }
         let mut outcome = RunOutcome {
@@ -164,13 +215,15 @@ impl Reactor {
 impl std::fmt::Debug for Reactor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Reactor")
-            .field("workers", &self.tasks.len())
+            .field("workers", &self.workers.len())
             .field(
                 "tasks",
-                &self.tasks.iter().map(Vec::len).collect::<Vec<_>>(),
+                &self
+                    .workers
+                    .iter()
+                    .map(|worker| worker.tasks.len())
+                    .collect::<Vec<_>>(),
             )
-            .field("tick", &self.tick)
-            .field("slots", &self.slots)
             .finish()
     }
 }
@@ -182,29 +235,30 @@ struct WorkerDone {
     state: Option<Box<dyn Any + Send>>,
 }
 
-#[allow(clippy::too_many_arguments)]
 fn worker_loop(
     worker: usize,
-    tasks: Vec<Box<dyn Task>>,
-    mut state: Option<Box<dyn Any + Send>>,
+    spawned: Worker,
     epoch: Instant,
-    tick: Duration,
-    slots: usize,
     stop: Option<Arc<AtomicBool>>,
     run_for: Option<Duration>,
     halt: Arc<AtomicBool>,
 ) -> WorkerDone {
-    let ready = Arc::new(ReadyList::new(tasks.len()));
-    let mut slots_vec: Vec<Option<Box<dyn Task>>> = tasks.into_iter().map(Some).collect();
-    let mut timers = TimingWheel::new(tick, slots);
+    let Worker {
+        tasks: mut slots_vec,
+        unarmed,
+        mut timers,
+        mut state,
+    } = spawned;
+    let ready = Arc::new(ReadyList::new(slots_vec.len()));
     let mut live = slots_vec.len();
     let mut completed = 0usize;
     let mut polls = 0u64;
     let mut due = Vec::new();
 
-    // Every task gets an initial poll, in spawn order.
-    for index in 0..slots_vec.len() {
-        ready.wake(index as u32);
+    // Every task spawned without a deadline gets an initial poll, in
+    // spawn order; armed tasks wait for their timer.
+    for index in unarmed {
+        ready.wake(index);
     }
 
     let should_halt = |elapsed: Duration| {
@@ -509,5 +563,91 @@ mod tests {
         let outcome = reactor.run(None, Some(Duration::from_secs(10)));
         assert_eq!(outcome.completed, 1);
         assert_eq!(outcome.polls, 101);
+    }
+
+    /// Logs its id on every live poll and completes on the first one.
+    struct LogOnce {
+        id: u32,
+        log: Arc<Mutex<Vec<u32>>>,
+    }
+
+    impl Task for LogOnce {
+        fn poll(&mut self, cx: &mut Context<'_>) -> Poll {
+            if !cx.stopping() {
+                self.log.lock().unwrap().push(self.id);
+            }
+            Poll::Ready
+        }
+    }
+
+    const HOUR_NANOS: u64 = 3_600_000_000_000;
+
+    #[test]
+    fn tasks_armed_beyond_the_run_are_polled_only_by_the_shutdown_sweep() {
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let mut reactor = Reactor::new(2);
+        for id in 0..100u32 {
+            let task = Box::new(LogOnce {
+                id,
+                log: Arc::clone(&log),
+            });
+            reactor.spawn_at(id as usize % 2, HOUR_NANOS + u64::from(id), task);
+        }
+        let outcome = reactor.run(None, Some(Duration::from_millis(10)));
+        assert_eq!(
+            outcome.polls, 100,
+            "one shutdown poll each, no initial poll"
+        );
+        assert_eq!(outcome.completed, 100);
+        assert!(log.lock().unwrap().is_empty());
+    }
+
+    #[test]
+    fn an_armed_deadline_already_past_fires_on_the_first_pass() {
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let mut reactor = Reactor::new(1);
+        reactor.spawn_at(
+            0,
+            0,
+            Box::new(LogOnce {
+                id: 7,
+                log: Arc::clone(&log),
+            }),
+        );
+        let outcome = reactor.run(None, None);
+        assert_eq!(outcome.polls, 1);
+        assert_eq!(outcome.completed, 1);
+        assert_eq!(*log.lock().unwrap(), vec![7]);
+    }
+
+    #[test]
+    fn unarmed_tasks_keep_their_spawn_order_beside_armed_ones() {
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let mut reactor = Reactor::new(1);
+        let task = |id| {
+            Box::new(LogOnce {
+                id,
+                log: Arc::clone(&log),
+            })
+        };
+        reactor.spawn(task(0));
+        reactor.spawn_at(0, HOUR_NANOS, task(1));
+        reactor.spawn(task(2));
+        reactor.spawn_at(0, 0, task(3));
+        reactor.spawn(task(4));
+        let outcome = reactor.run(None, Some(Duration::from_millis(10)));
+        // The unarmed tasks go first, in spawn order; the past deadline
+        // fires behind them on the same pass; the far one is only swept.
+        assert_eq!(*log.lock().unwrap(), vec![0, 2, 4, 3]);
+        assert_eq!(outcome.polls, 5);
+        assert_eq!(outcome.completed, 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "set the timer resolution before arming tasks")]
+    fn timer_resolution_cannot_drop_armed_deadlines() {
+        let mut reactor = Reactor::new(1);
+        reactor.spawn_at(0, 0, Box::new(AddToSlot(0)));
+        let _ = reactor.with_timer_resolution(Duration::from_millis(2), 8);
     }
 }

@@ -17,6 +17,7 @@ use jmst_api::destination::Destination;
 use jmst_store::{EventKind, Trace};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 fn worker() -> WorkerCommand {
@@ -165,4 +166,37 @@ fn kill_dash_nine_mid_run_is_respawned_and_verdicts_still_agree() {
         }),
         "kill9",
     );
+}
+
+#[test]
+fn concurrent_process_campaigns_in_one_process_each_get_their_own_socket() {
+    // Two one-test campaigns share the pid and the test index 0; if they
+    // also shared a socket path, one would unlink the other's listener
+    // or answer the other's worker, and a clean spec would come back
+    // INCONCLUSIVE.
+    let start = Arc::new(Barrier::new(2));
+    let runs: Vec<_> = ["left", "right"]
+        .into_iter()
+        .map(|side| {
+            let start = Arc::clone(&start);
+            std::thread::spawn(move || {
+                let tag = format!("concurrent-{side}");
+                let spec = diff_spec(&tag, 1);
+                start.wait();
+                run_mode(&spec, TransportMode::Process, &tag, None)
+            })
+        })
+        .collect();
+    for run in runs {
+        let (summary, trace) = run.join().expect("campaign thread");
+        assert!(
+            summary.contains("PASS"),
+            "the clean spec must pass: {summary}"
+        );
+        let total: u32 = delivery_multisets(&trace)
+            .values()
+            .flat_map(|set| set.values())
+            .sum();
+        assert_eq!(total, 80, "50 + 30 limited messages delivered exactly once");
+    }
 }
